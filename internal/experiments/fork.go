@@ -278,7 +278,7 @@ func runFork(pre *prefixState, spec Spec) (Outcome, error) {
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)
 	kv.RegisterTypes(reg)
-	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
+	dev := pmem.NewDevice(&cfg, poolSizeFor(wl)*2)
 	dev.Restore(&pre.chk.dev)
 	dev.SetExclusive(true)
 	rt, err := pmop.AttachAtEpoch(&cfg, dev, 0)

@@ -104,7 +104,7 @@ func TestForkInsideOpenEpoch(t *testing.T) {
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)
 	kv.RegisterTypes(reg)
-	dev := pmem.NewDeviceForRestore(&cfg, poolSizeFor(wl)*2)
+	dev := pmem.NewDevice(&cfg, poolSizeFor(wl)*2)
 	dev.Restore(&chk.dev)
 	dev.SetExclusive(true)
 	rt, err := pmop.AttachAtEpoch(&cfg, dev, 0)

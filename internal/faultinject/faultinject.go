@@ -200,6 +200,9 @@ func TrialWith(setting Setting, seed int64, opts TrialOptions) error {
 	cfg := sim.DefaultConfig()
 	cfg.CacheBytes = 256 * 1024
 	rt := pmop.NewRuntime(&cfg, 128<<20)
+	// Churn runs on several goroutines, so the device stays in shared
+	// (locked) mode; its media array is recycled for the next trial.
+	defer rt.Device().ReleaseMedia()
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)
 	p, err := rt.Create("fi", 64<<20, 12, reg)

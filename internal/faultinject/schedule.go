@@ -186,13 +186,19 @@ func RunScheduled(rep Repro, opts TrialOptions) (ScheduleResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.CacheBytes = 256 * 1024
 	rt := pmop.NewRuntime(&cfg, 128<<20)
+	// The trial owns its device on this one goroutine from start to end, so
+	// the per-access host locks can go; at the end the media array (wiped
+	// back to zero over its dirty pages) goes to the pool for the next
+	// trial's NewDevice.
+	dev := rt.Device()
+	dev.SetExclusive(true)
+	defer dev.ReleaseMedia()
 	reg := pmop.NewRegistry()
 	ds.RegisterTypes(reg)
 	p, err := rt.Create("fi", 64<<20, 12, reg)
 	if err != nil {
 		return res, err
 	}
-	dev := p.Device()
 	ctx := sim.NewCtx(&cfg)
 	s, err := buildStore(ctx, p, setting.Store)
 	if err != nil {

@@ -356,6 +356,16 @@ func RunServeScheduled(rep ServeRepro, opts ServeTrialOptions) (ServeScheduleRes
 	cfg.CacheBytes = 256 * 1024
 	nsh := rep.Shards
 	machines := make([]*serveMachine, nsh)
+	// Recycle each machine's media array once the trial is over (after the
+	// final hashes and graph checks). The devices stay in shared mode: the
+	// batched GET dispatch touches them from several goroutines.
+	defer func() {
+		for _, m := range machines {
+			if m != nil {
+				m.dev.ReleaseMedia()
+			}
+		}
+	}()
 	shardKeys := make([]int, nsh)
 	for i := 0; i < nsh; i++ {
 		keys := rep.Keys

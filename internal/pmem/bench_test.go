@@ -158,3 +158,36 @@ func BenchmarkRelocateParts(b *testing.B) {
 		})
 	}
 }
+
+// hashSink keeps BenchmarkHashMedia's digest live.
+var hashSink uint64
+
+// BenchmarkHashMedia measures the crash-replay digest at the two footprints
+// that matter: a 128 MiB scheduled-trial device with ~250 dirty pages (what
+// one crash trial touches) and a fully dirty 4 MiB device (the worst case,
+// where every word is read).
+func BenchmarkHashMedia(b *testing.B) {
+	cases := []struct {
+		name  string
+		size  uint64
+		pages uint64 // dirty pages, spread evenly
+	}{
+		{"128MiB/dirty=250", 128 << 20, 250},
+		{"4MiB/dirty=all", 4 << 20, (4 << 20) / DirtyPageSize},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := sim.DefaultConfig()
+			d := NewDevice(&cfg, c.size)
+			defer d.ReleaseMedia()
+			stride := c.size / DirtyPageSize / c.pages
+			for p := uint64(0); p < c.pages; p++ {
+				d.MediaWrite(p*stride*DirtyPageSize, []byte{byte(p) | 1})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hashSink = d.HashMedia()
+			}
+		})
+	}
+}

@@ -18,10 +18,10 @@ import (
 // copied, so checkpoint and restore cost tracks the workload's footprint,
 // not the media size. Restore relies on the target device upholding the same
 // invariant (its media equals the base image outside its own dirty bitmap),
-// which NewDevice/NewDeviceForRestore guarantee — fresh arrays are zero, and
-// ReleaseMedia wipes recycled ones. CheckpointInto reuses the checkpoint's
-// buffers, so a driver that re-checkpoints at every candidate fork point
-// allocates only while the captured footprint is still growing.
+// which NewDevice guarantees — fresh arrays are zero, and ReleaseMedia wipes
+// recycled ones. CheckpointInto reuses the checkpoint's buffers, so a driver
+// that re-checkpoints at every candidate fork point allocates only while the
+// captured footprint is still growing.
 
 // setCheckpoint is a deep copy of one cache set's volatile state.
 type setCheckpoint struct {

@@ -25,6 +25,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -144,10 +145,11 @@ type Device struct {
 	// all-zero base image, one bit per page. Every media-write path sets the
 	// page's bit (plain or-in under exclusive mode, atomic otherwise);
 	// CheckpointInto captures only marked pages, Restore zeroes/overwrites
-	// only marked pages, and ReleaseMedia wipes marked pages so recycled
-	// buffers are always all-zero. A spuriously set bit only costs a no-op
-	// copy; a missed bit would corrupt forked runs, so every write to
-	// d.media must be paired with touchLine/touchRange.
+	// only marked pages, HashMedia reads only marked pages, and ReleaseMedia
+	// wipes marked pages so recycled buffers are always all-zero. A
+	// spuriously set bit only costs a no-op copy; a missed bit would corrupt
+	// forked runs and crash-replay hashes, so every write to d.media must be
+	// paired with touchLine/touchRange.
 	dirty []uint64
 
 	// pend lists the indices of sets that currently hold in-flight lines, so
@@ -298,14 +300,6 @@ func zeroMedia(size uint64) []byte {
 		}
 	}
 	return make([]byte, size)
-}
-
-// NewDeviceForRestore creates a device intended to receive a checkpoint via
-// Restore. Since pooled media is pre-zeroed it is today identical to
-// NewDevice; the separate entry point remains because restore targets are
-// the call sites that must pair with ReleaseMedia.
-func NewDeviceForRestore(cfg *sim.Config, size uint64) *Device {
-	return NewDevice(cfg, size)
 }
 
 // ReleaseMedia wipes the device's dirty pages back to the all-zero base
@@ -484,26 +478,82 @@ func (d *Device) writeMediaLine(ctx *sim.Ctx, set *cacheSet, lineIdx uint64, dat
 	}
 }
 
+// hashPrime is the FNV-1a multiplier HashMedia folds each media word with.
+const hashPrime = 0x100000001b3
+
+// pageWords is the number of 8-byte hash words in a dirty-tracking page.
+const pageWords = DirtyPageSize / 8
+
+// hashPow returns hashPrime^n mod 2^64.
+func hashPow(n uint64) uint64 {
+	r, b := uint64(1), uint64(hashPrime)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r *= b
+		}
+		b *= b
+	}
+	return r
+}
+
+// A zero word folds as h = (h^0)*prime, so a run of n clean words is a
+// single multiply by prime^n. These cover one clean page and one clean
+// 64-page bitmap word.
+var (
+	hashPowPage  = hashPow(pageWords)
+	hashPowGroup = hashPow(64 * pageWords)
+)
+
 // HashMedia digests the full persistent image (volatile cache state
 // excluded) into 64 bits — the cheap bit-identity witness crash-schedule
 // replays compare. Word-wise FNV-1a variant with a final avalanche; call
 // only on a quiescent device.
+//
+// The digest is that of a scan over every media word, but only the dirty
+// pages and the sub-word tail are read: media is all-zero outside the dirty
+// bitmap (the invariant Checkpoint/Restore rely on, DESIGN.md §7), and each
+// clean run folds in as one power-of-prime multiply. Cost tracks the
+// footprint, not the media size.
 func (d *Device) HashMedia() uint64 {
-	const prime = 0x100000001b3
 	h := uint64(0xcbf29ce484222325)
-	b := d.media
-	for len(b) >= 8 {
-		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		h = (h ^ w) * prime
-		b = b[8:]
+	words := uint64(len(d.media)) >> 3
+	for w, bw := range d.dirty {
+		first := uint64(w) * 64 * pageWords
+		if bw == 0 && first+64*pageWords <= words {
+			h *= hashPowGroup
+			continue
+		}
+		for i := uint64(0); i < 64; i++ {
+			start := first + i*pageWords
+			if start >= words {
+				break
+			}
+			n := min(uint64(pageWords), words-start)
+			switch {
+			case bw&(1<<i) != 0:
+				h = hashWords(h, d.media[start<<3:(start+n)<<3])
+			case n == pageWords:
+				h *= hashPowPage
+			default:
+				h *= hashPow(n)
+			}
+		}
 	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime
+	for _, c := range d.media[words<<3:] {
+		h = (h ^ uint64(c)) * hashPrime
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
+	return h
+}
+
+// hashWords folds b (a multiple of 8 bytes) into h, one little-endian word
+// at a time.
+func hashWords(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * hashPrime
+	}
 	return h
 }
 
@@ -522,10 +572,10 @@ func (d *Device) RestoreMedia(img []byte) {
 		panic("pmem: RestoreMedia size mismatch")
 	}
 	copy(d.media, img)
-	// The image is arbitrary: conservatively mark every page dirty.
-	for i := range d.dirty {
-		d.dirty[i] = ^uint64(0)
-	}
+	// The image is arbitrary: conservatively mark every page dirty (only
+	// pages that exist — a bit past the end would send wipeDirty out of
+	// range).
+	d.touchRange(0, uint64(len(d.media)))
 	d.dropVolatile()
 }
 

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"testing"
 
 	"ffccd/internal/workpool"
@@ -92,11 +93,13 @@ func TestRestoreSpansDisjointAndComplete(t *testing.T) {
 // TestRestoreParallelEquivalence is the satellite pin for the parallel
 // restore fast path: restoring the same checkpoint with and without worker
 // helpers — and onto a dirty recycled device — yields the source media
-// bit-identically.
+// bit-identically. Whole images are compared byte for byte rather than by
+// HashMedia: the digest reads only dirty pages, so a stale page whose dirty
+// bit was wrongly cleared would slip past it.
 func TestRestoreParallelEquivalence(t *testing.T) {
 	const size = 4 << 20
 	src, c := dirtySource(t, size)
-	want := src.HashMedia()
+	want := src.SnapshotMedia()
 
 	old := workpool.Parallelism()
 	defer workpool.SetParallelism(old)
@@ -106,8 +109,8 @@ func TestRestoreParallelEquivalence(t *testing.T) {
 
 		fresh, _ := newTestDevice(size)
 		fresh.Restore(c)
-		if got := fresh.HashMedia(); got != want {
-			t.Errorf("parallelism %d: fresh restore hash %#x != source %#x", par, got, want)
+		if !bytes.Equal(fresh.SnapshotMedia(), want) {
+			t.Errorf("parallelism %d: fresh restore image differs from source", par)
 		}
 
 		// Recycled target: stale dirty data everywhere the checkpoint does
@@ -122,8 +125,8 @@ func TestRestoreParallelEquivalence(t *testing.T) {
 		}
 		dirty.FlushAll(dctx)
 		dirty.Restore(c)
-		if got := dirty.HashMedia(); got != want {
-			t.Errorf("parallelism %d: recycled restore hash %#x != source %#x", par, got, want)
+		if !bytes.Equal(dirty.SnapshotMedia(), want) {
+			t.Errorf("parallelism %d: recycled restore image differs from source", par)
 		}
 	}
 }
