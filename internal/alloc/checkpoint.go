@@ -4,7 +4,8 @@ package alloc
 // allocator is rebuildable from persistent headers (RebuildFromMark), but
 // rebuilding charges simulated mark-phase cycles — the fork-based experiment
 // driver instead restores the exact host-side bitmaps so a forked run's
-// allocation decisions replay bit-identically (DESIGN.md §7).
+// allocation decisions replay bit-identically (DESIGN.md §7). The allocation
+// index is derived from these fields and is rebuilt by Restore, not stored.
 type HeapCheckpoint struct {
 	HeapOff    uint64
 	Frames     int
@@ -59,4 +60,5 @@ func (h *Heap) Restore(c *HeapCheckpoint) {
 	h.liveBytes = c.LiveBytes
 	h.dupBytes = c.DupBytes
 	h.cursor = c.Cursor
+	h.rebuildIndex()
 }

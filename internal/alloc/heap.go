@@ -3,6 +3,14 @@
 // paper's PMFT design assumes, §4.3.1), first-fit allocation within partially
 // occupied frames, and fragmentation-ratio bookkeeping (eq. 1 of the paper).
 //
+// First fit is indexed (index.go): a per-frame upper bound on the longest
+// free run, a max tree over those bounds and a free-frame bitmap pick the
+// same (frame, slot) as a frame-by-frame scan from the cursor in O(log
+// frames) plus one word-level run search. The bounds are kept cheaply and
+// may be loose (allocation lowers one only to the frame's free-slot count);
+// a probe that fails tightens its frame's bound to the exact run. The index
+// is derived from the bitmaps, never checkpointed, and rebuilt on Restore.
+//
 // Allocator metadata is volatile, in the Makalu/Atlas style the paper builds
 // on: object headers in PM are the ground truth, and after a crash or reopen
 // the bitmaps are rebuilt from a reachability pass (RebuildFromMark). This
@@ -67,6 +75,13 @@ type Heap struct {
 	dupBytes   uint64 // bytes double-counted while relocation copies coexist
 
 	cursor int // next frame to consider for allocation
+
+	// Allocation index (index.go).
+	hint     []uint16 // per frame: upper bound on the longest free run
+	tree     []uint16 // max tree over frames; leaves at [leaves, 2*leaves)
+	leaves   int      // power of two ≥ frames
+	freeBits []uint64 // bit f set iff state[f] == FrameFree
+	touched  []int    // RebuildFromMark scratch: frames it activated
 }
 
 // NewHeap creates an empty heap of the given geometry.
@@ -82,6 +97,8 @@ func NewHeap(heapOff uint64, frames int) *Heap {
 	for i := range h.freeSlots {
 		h.freeSlots[i] = SlotsPerFrame
 	}
+	h.initIndex()
+	h.resetIndex()
 	return h
 }
 
@@ -112,43 +129,18 @@ func SlotsFor(payload uint64) int {
 	return int((payload + 16 + SlotSize - 1) / SlotSize)
 }
 
-// findRun scans one frame's bitmap for a run of n free slots, returning the
-// starting slot or -1.
-func (h *Heap) findRun(frame, n int) int {
+// setRange sets (v) or clears the run [slot, slot+n) of one frame's words.
+func (h *Heap) setRange(words []uint64, frame, slot, n int, v bool) {
 	base := frame * wordsPerFrame
-	run := 0
-	start := 0
-	for s := 0; s < SlotsPerFrame; s++ {
-		w := h.slotBits[base+s/64]
-		if w == ^uint64(0) {
-			// Fast-skip a fully allocated word.
-			s += 63 - s%64
-			run = 0
-			continue
-		}
-		if w&(1<<(s%64)) == 0 {
-			if run == 0 {
-				start = s
-			}
-			run++
-			if run == n {
-				return start
-			}
-		} else {
-			run = 0
-		}
-	}
-	return -1
-}
-
-func (h *Heap) setRange(bits []uint64, frame, slot, n int, v bool) {
-	base := frame * wordsPerFrame
-	for i := slot; i < slot+n; i++ {
+	for n > 0 {
+		w, mask, k := runMask(slot, n)
 		if v {
-			bits[base+i/64] |= 1 << (i % 64)
+			words[base+w] |= mask
 		} else {
-			bits[base+i/64] &^= 1 << (i % 64)
+			words[base+w] &^= mask
 		}
+		slot += k
+		n -= k
 	}
 }
 
@@ -166,41 +158,35 @@ func (h *Heap) Alloc(payload uint64) (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 
-	// First fit over active frames starting at the cursor; fall back to a
-	// free frame.
-	tried := 0
-	for i := 0; i < h.frames && tried < h.frames; i++ {
-		f := (h.cursor + i) % h.frames
-		tried++
-		if h.state[f] != FrameActive && h.state[f] != FrameDestination {
-			continue
-		}
-		if int(h.freeSlots[f]) < n {
-			continue
-		}
-		if s := h.findRun(f, n); s >= 0 {
-			h.commitAlloc(f, s, n, payload)
-			h.cursor = f
-			return h.OffsetOf(f, s), nil
-		}
+	// First fit over active frames starting at the cursor, wrapping around;
+	// fall back to the lowest free frame.
+	f, slot := h.fit(h.cursor, h.frames, n)
+	if f < 0 {
+		f, slot = h.fit(0, h.cursor, n)
 	}
-	for f := 0; f < h.frames; f++ {
-		if h.state[f] == FrameFree {
-			h.state[f] = FrameActive
-			h.usedFrames++
-			h.commitAlloc(f, 0, n, payload)
-			h.cursor = f
-			return h.OffsetOf(f, 0), nil
+	if f < 0 {
+		if f = h.lowestFree(); f < 0 {
+			return 0, fmt.Errorf("alloc: out of memory (%d frames, %d live bytes)", h.frames, h.liveBytes)
 		}
+		h.setState(f, FrameActive)
+		h.usedFrames++
+		slot = 0
 	}
-	return 0, fmt.Errorf("alloc: out of memory (%d frames, %d live bytes)", h.frames, h.liveBytes)
+	h.commitAlloc(f, slot, n)
+	h.cursor = f
+	return h.OffsetOf(f, slot), nil
 }
 
-func (h *Heap) commitAlloc(f, s, n int, payload uint64) {
+// commitAlloc reserves the run [s, s+n) of frame f, lowering the frame's
+// hint to its free-slot count (a bound that needs no scan).
+func (h *Heap) commitAlloc(f, s, n int) {
 	h.setRange(h.slotBits, f, s, n, true)
 	h.setRange(h.startBits, f, s, 1, true)
 	h.freeSlots[f] -= uint16(n)
 	h.liveBytes += uint64(n) * SlotSize
+	if h.hint[f] > h.freeSlots[f] {
+		h.setHint(f, h.freeSlots[f])
+	}
 }
 
 // PlaceAt reserves an explicit (frame, slot, n) run — the GC uses it to
@@ -210,19 +196,19 @@ func (h *Heap) PlaceAt(frame, slot, n int) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	base := frame * wordsPerFrame
-	for i := slot; i < slot+n; i++ {
-		if h.slotBits[base+i/64]&(1<<(i%64)) != 0 {
+	for s, left := slot, n; left > 0; {
+		w, mask, k := runMask(s, left)
+		if h.slotBits[base+w]&mask != 0 {
 			return fmt.Errorf("alloc: PlaceAt(%d,%d,%d) overlaps a live allocation", frame, slot, n)
 		}
+		s += k
+		left -= k
 	}
 	if h.state[frame] == FrameFree {
-		h.state[frame] = FrameDestination
+		h.setState(frame, FrameDestination)
 		h.usedFrames++
 	}
-	h.setRange(h.slotBits, frame, slot, n, true)
-	h.setRange(h.startBits, frame, slot, 1, true)
-	h.freeSlots[frame] -= uint16(n)
-	h.liveBytes += uint64(n) * SlotSize
+	h.commitAlloc(frame, slot, n)
 	return nil
 }
 
@@ -239,9 +225,14 @@ func (h *Heap) freeRun(f, s, n int) {
 	h.setRange(h.startBits, f, s, 1, false)
 	h.freeSlots[f] += uint16(n)
 	h.liveBytes -= uint64(n) * SlotSize
-	if h.freeSlots[f] == SlotsPerFrame && (h.state[f] == FrameActive || h.state[f] == FrameDestination) {
-		h.state[f] = FrameFree
+	// The longest run is now the old one (at most hint) or the merged run
+	// around the freed slots.
+	h.hint[f] = min(h.freeSlots[f], max(h.hint[f], uint16(h.runAround(f, s))))
+	if h.freeSlots[f] == SlotsPerFrame && allocatable(h.state[f]) {
+		h.setState(f, FrameFree)
 		h.usedFrames--
+	} else {
+		h.updateLeaf(f)
 	}
 }
 
@@ -261,7 +252,8 @@ func (h *Heap) ReleaseFrame(frame int) {
 		h.usedFrames--
 	}
 	h.freeSlots[frame] = SlotsPerFrame
-	h.state[frame] = FrameFree
+	h.hint[frame] = SlotsPerFrame
+	h.setState(frame, FrameFree)
 }
 
 // SetState transitions a frame's state (GC summary marks relocation and
@@ -279,7 +271,7 @@ func (h *Heap) SetState(frame int, st FrameState) {
 	if old != FrameFree && st == FrameFree {
 		h.usedFrames--
 	}
-	h.state[frame] = st
+	h.setState(frame, st)
 }
 
 // State returns a frame's state.
@@ -329,9 +321,9 @@ func (h *Heap) FreeFrames(n int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]int, 0, n)
-	for f := 0; f < h.frames && len(out) < n; f++ {
-		if h.state[f] == FrameFree {
-			out = append(out, f)
+	for w := 0; w < len(h.freeBits) && len(out) < n; w++ {
+		for word := h.freeBits[w]; word != 0 && len(out) < n; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -381,6 +373,7 @@ func (h *Heap) Reset() {
 	h.liveBytes = 0
 	h.dupBytes = 0
 	h.cursor = 0
+	h.resetIndex()
 }
 
 // AddDup records bytes that are temporarily allocated twice (an in-flight
@@ -410,20 +403,28 @@ type RebuildEntry struct {
 
 // RebuildFromMark reconstructs the bitmaps from the live-object set — the
 // post-crash/reopen path. Unreachable allocations are implicitly reclaimed
-// (the paper's persistent-leak fix).
+// (the paper's persistent-leak fix). Only the frames it activates are
+// reindexed.
 func (h *Heap) RebuildFromMark(live []RebuildEntry) {
 	h.Reset()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.touched = h.touched[:0]
 	for _, e := range live {
 		f, s := h.Locate(e.Off)
 		if h.state[f] == FrameFree {
+			// The leaf is set once, after the frame's bits are final.
 			h.state[f] = FrameActive
+			h.freeBits[f/64] &^= 1 << (f % 64)
 			h.usedFrames++
+			h.touched = append(h.touched, f)
 		}
 		h.setRange(h.slotBits, f, s, e.Slots, true)
 		h.setRange(h.startBits, f, s, 1, true)
 		h.freeSlots[f] -= uint16(e.Slots)
 		h.liveBytes += uint64(e.Slots) * SlotSize
+	}
+	for _, f := range h.touched {
+		h.setHint(f, uint16(h.longestRun(f)))
 	}
 }

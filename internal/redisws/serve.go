@@ -312,9 +312,10 @@ func (h *clientHeap) pop() int {
 }
 
 // setMarks detects cache-set conflicts between a candidate op and the
-// current batch with O(footprint) stamping and O(1) reset.
+// current batch with O(footprint) stamping, promotion and reset.
 type setMarks struct {
 	stamp    []uint64
+	cand     []int // sets stamped with candTag, in stamping order
 	batchTag uint64
 	candTag  uint64
 	tag      uint64
@@ -323,7 +324,20 @@ type setMarks struct {
 func newSetMarks(nset int) *setMarks { return &setMarks{stamp: make([]uint64, nset)} }
 
 func (m *setMarks) newBatch() { m.tag++; m.batchTag = m.tag }
-func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag }
+func (m *setMarks) newCand()  { m.tag++; m.candTag = m.tag; m.cand = m.cand[:0] }
+
+// stampCand marks set as part of the candidate's footprint.
+func (m *setMarks) stampCand(set int) {
+	m.stamp[set] = m.candTag
+	m.cand = append(m.cand, set)
+}
+
+// acceptCand promotes the candidate's stamps into the batch.
+func (m *setMarks) acceptCand() {
+	for _, set := range m.cand {
+		m.stamp[set] = m.batchTag
+	}
+}
 
 // catchCrashSite runs f, converting a scheduled-crash unwind (a panic with
 // *pmem.CrashAtSite, raised by an armed site recorder) into a value. Any other
@@ -631,21 +645,12 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 				case marks.candTag:
 					// dup within this candidate
 				default:
-					marks.stamp[set] = marks.candTag
+					marks.stampCand(set)
 				}
 			}
 		})
 		return conflict
 	}
-	// acceptCand promotes the candidate's stamps into the batch.
-	acceptCand := func() {
-		for i, s := range marks.stamp {
-			if s == marks.candTag {
-				marks.stamp[i] = marks.batchTag
-			}
-		}
-	}
-
 	// genOp pops the lowest-virtual-time client and draws its operation. A
 	// held (crash-lost, retried) op is replayed as drawn — no fresh randomness,
 	// so the post-resume stream stays aligned with the repro's seed.
@@ -901,7 +906,7 @@ func Serve(ctx *sim.Ctx, p *pmop.Pool, store ds.Store, cfg ServeConfig, hooks Se
 					break // every client is already in the batch
 				}
 				if canBatch && op.isGet && len(batch) < cfg.MaxBatch && !footprintSets(op.key) {
-					acceptCand()
+					marks.acceptCand()
 					batch = append(batch, op)
 					continue
 				}

@@ -171,3 +171,15 @@ func TestServeEpochForcesSerial(t *testing.T) {
 		t.Errorf("serial %d != ops %d", res.SerialOps, res.Ops)
 	}
 }
+
+// TestServeBatchDecisionsPinned pins the dispatcher's batching decisions for
+// one small seeded run to the values recorded before the candidate-set
+// promotion became O(footprint): the conflict detector must accept and
+// reject exactly the same GETs.
+func TestServeBatchDecisionsPinned(t *testing.T) {
+	res := runServe(t, serveCfg(), redisws.ServeHooks{})
+	if res.ParallelOps != 3601 || res.SerialOps != 399 || res.Batches != 1325 {
+		t.Errorf("parallel/serial/batches = %d/%d/%d, want 3601/399/1325",
+			res.ParallelOps, res.SerialOps, res.Batches)
+	}
+}
